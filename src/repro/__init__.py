@@ -41,84 +41,48 @@ or with the lower-level runner::
     print(base.average_mpki, imli.average_mpki)
 """
 
-from repro.api import (
-    CompositeOptions,
-    Experiment,
-    PredictorSpec,
-    Registry,
-    ResultSet,
-    SizeProfile,
-    default_registry,
-    register_configuration,
-    register_profile,
-)
-from repro.core import (
-    IMLIOuterHistoryComponent,
-    IMLISameIterationComponent,
-    IMLIState,
-    SpeculativeIMLITracker,
-)
-from repro.predictors import (
-    BranchPredictor,
-    GEHLPredictor,
-    TAGEGSCPredictor,
-    TAGEPredictor,
-    build_named,
-    configuration_names,
-)
-from repro.dist import Coordinator, DistBackend, Worker
-from repro.ingest import IngestError, IngestReport, ingest_trace
-from repro.sim import SimulationResult, SuiteRunner, simulate
-from repro.store import ResultStore
-from repro.trace import (
-    BranchKind,
-    BranchRecord,
-    ChunkedTrace,
-    Trace,
-    load_any_trace,
-    write_chunked_trace,
-)
-from repro.workloads import generate_benchmark, generate_suite
+from repro._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "BranchKind",
-    "BranchPredictor",
-    "BranchRecord",
-    "ChunkedTrace",
-    "CompositeOptions",
-    "Coordinator",
-    "DistBackend",
-    "Experiment",
-    "IngestError",
-    "IngestReport",
-    "GEHLPredictor",
-    "IMLIOuterHistoryComponent",
-    "IMLISameIterationComponent",
-    "IMLIState",
-    "PredictorSpec",
-    "Registry",
-    "ResultSet",
-    "ResultStore",
-    "SimulationResult",
-    "SizeProfile",
-    "SpeculativeIMLITracker",
-    "SuiteRunner",
-    "TAGEGSCPredictor",
-    "TAGEPredictor",
-    "Trace",
-    "Worker",
-    "__version__",
-    "build_named",
-    "configuration_names",
-    "default_registry",
-    "generate_benchmark",
-    "generate_suite",
-    "ingest_trace",
-    "load_any_trace",
-    "register_configuration",
-    "register_profile",
-    "simulate",
-    "write_chunked_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api": [
+        "CompositeOptions",
+        "Experiment",
+        "PredictorSpec",
+        "Registry",
+        "ResultSet",
+        "SizeProfile",
+        "default_registry",
+        "register_configuration",
+        "register_profile",
+    ],
+    "repro.core": [
+        "IMLIOuterHistoryComponent",
+        "IMLISameIterationComponent",
+        "IMLIState",
+        "SpeculativeIMLITracker",
+    ],
+    "repro.predictors": [
+        "BranchPredictor",
+        "GEHLPredictor",
+        "TAGEGSCPredictor",
+        "TAGEPredictor",
+        "build_named",
+        "configuration_names",
+    ],
+    "repro.dist": ["Coordinator", "DistBackend", "Worker"],
+    "repro.ingest": ["IngestError", "IngestReport", "ingest_trace"],
+    "repro.sim": ["SimulationResult", "SuiteRunner", "simulate"],
+    "repro.store": ["ResultStore"],
+    "repro.trace": [
+        "BranchKind",
+        "BranchRecord",
+        "ChunkedTrace",
+        "Trace",
+        "load_any_trace",
+        "write_chunked_trace",
+    ],
+    "repro.workloads": ["generate_benchmark", "generate_suite"],
+})
+__all__ += ["__version__"]

@@ -8,23 +8,15 @@
   experiments, one per table and figure of the paper's evaluation section.
 """
 
-from repro.analysis.experiments import (
-    EXPERIMENTS,
-    ExperimentResult,
-    experiment_ids,
-    run_experiment,
-)
-from repro.analysis.figures import format_bar_chart, format_grouped_bar_chart
-from repro.analysis.tables import format_key_values, format_mpki_table, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "experiment_ids",
-    "format_bar_chart",
-    "format_grouped_bar_chart",
-    "format_key_values",
-    "format_mpki_table",
-    "format_table",
-    "run_experiment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.experiments": [
+        "EXPERIMENTS",
+        "ExperimentResult",
+        "experiment_ids",
+        "run_experiment",
+    ],
+    "repro.analysis.figures": ["format_bar_chart", "format_grouped_bar_chart"],
+    "repro.analysis.tables": ["format_key_values", "format_mpki_table", "format_table"],
+})

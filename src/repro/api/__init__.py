@@ -25,7 +25,7 @@ from repro.api.registry import (
     register_profile,
 )
 from repro.api.specs import PredictorSpec
-from repro.predictors.composites import CompositeOptions, SizeProfile
+from repro.config import CompositeOptions, SizeProfile
 
 __all__ = [
     "CompositeOptions",

@@ -25,7 +25,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.analysis.tables import format_table
 from repro.api.registry import Registry
@@ -33,8 +33,10 @@ from repro.api.specs import PredictorSpec
 from repro.sim.metrics import mpki_delta
 from repro.sim.runner import ConfigurationRun, SuiteRunner
 from repro.store import ResultStore
-from repro.trace.chunked import ChunkedTrace, load_any_trace
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - only trace paths need the loader
+    from repro.trace.chunked import ChunkedTrace
 
 __all__ = ["Experiment", "ResultSet"]
 
@@ -305,6 +307,8 @@ class Experiment:
         self.progress = progress
         self.batch = batch
         self.timings = timings
+        if traces is not None:
+            from repro.trace.chunked import load_any_trace
         self._traces = (
             [
                 load_any_trace(trace) if isinstance(trace, (str, Path)) else trace

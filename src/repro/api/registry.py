@@ -1,17 +1,17 @@
 """Mutable registry of predictor configurations and size profiles.
 
 The paper's configurations used to live in a frozen module-level dict
-(:data:`repro.predictors.composites.CONFIGURATIONS`) with two hardcoded
-size profiles.  :class:`Registry` makes both first-class and extensible:
+(:data:`repro.config.CONFIGURATIONS`) with two hardcoded size profiles.
+:class:`Registry` makes both first-class and extensible:
 
 * **options-based configurations** map a name to a
-  :class:`~repro.predictors.composites.CompositeOptions`, built through the
-  composite :func:`~repro.predictors.composites.build` factory;
+  :class:`~repro.config.CompositeOptions`, built through the composite
+  :func:`~repro.predictors.composites.build` factory (imported on the
+  first build, so resolving names and profiles loads no predictor);
 * **builder-based configurations** map a name to any callable
   ``builder(profile, **overrides) -> BranchPredictor`` -- the hook through
   which user predictors plug in without editing repro source;
-* **size profiles** map a name to a
-  :class:`~repro.predictors.composites.SizeProfile`.
+* **size profiles** map a name to a :class:`~repro.config.SizeProfile`.
 
 Registration is decorator-friendly::
 
@@ -36,16 +36,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-from repro.predictors.base import BranchPredictor
-from repro.predictors.composites import (
-    CONFIGURATIONS,
-    _PROFILES,
-    CompositeOptions,
-    SizeProfile,
-    build,
-)
+from repro.config import _PROFILES, CONFIGURATIONS, CompositeOptions, SizeProfile
+
+if TYPE_CHECKING:  # pragma: no cover - the predictors load on first build()
+    from repro.predictors.base import BranchPredictor
 
 __all__ = [
     "Registry",
@@ -56,7 +52,7 @@ __all__ = [
 
 #: A builder callable: takes the profile (name or SizeProfile) plus any
 #: spec overrides as keyword arguments and returns a fresh predictor.
-Builder = Callable[..., BranchPredictor]
+Builder = Callable[..., "BranchPredictor"]
 
 ProfileLike = Union[str, SizeProfile]
 
@@ -284,6 +280,8 @@ class Registry:
         configurations the predictor's ``name`` is set to the registry
         name.
         """
+        from repro.predictors.composites import build
+
         if isinstance(configuration, CompositeOptions):
             options = self._apply_overrides(configuration, overrides)
             return build(options, profile=self.resolve_profile(profile))

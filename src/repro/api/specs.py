@@ -2,7 +2,7 @@
 
 A :class:`PredictorSpec` is the serializable description of one predictor
 variant: the base (a registered configuration name or an explicit
-:class:`~repro.predictors.composites.CompositeOptions`), the size profile,
+:class:`~repro.config.CompositeOptions`), the size profile,
 and a dict of parameter overrides.  Specs are plain data -- they survive a
 lossless ``to_dict``/``from_dict`` (and JSON) round trip, expand into
 parameter grids with :meth:`PredictorSpec.sweep`, travel across process
@@ -21,11 +21,13 @@ import hashlib
 import itertools
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
 from repro.api.registry import Registry, default_registry
-from repro.predictors.base import BranchPredictor
-from repro.predictors.composites import CompositeOptions
+from repro.config import CompositeOptions
+
+if TYPE_CHECKING:  # pragma: no cover - the predictors load on first build()
+    from repro.predictors.base import BranchPredictor
 
 __all__ = ["PredictorSpec"]
 

@@ -12,38 +12,20 @@ predictor in :mod:`repro.predictors` and :mod:`repro.core` is built from:
   local history tables.
 """
 
-from repro.common.bits import (
-    fold_bits,
-    hash_pc,
-    mask,
-    mix_hash,
-    rotate_left,
-)
-from repro.common.counters import (
-    SaturatingCounter,
-    SignedCounterArray,
-    SignedSaturatingCounter,
-    UnsignedCounterArray,
-)
-from repro.common.history import (
-    FoldedHistory,
-    GlobalHistory,
-    LocalHistoryTable,
-    PathHistory,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FoldedHistory",
-    "GlobalHistory",
-    "LocalHistoryTable",
-    "PathHistory",
-    "SaturatingCounter",
-    "SignedCounterArray",
-    "SignedSaturatingCounter",
-    "UnsignedCounterArray",
-    "fold_bits",
-    "hash_pc",
-    "mask",
-    "mix_hash",
-    "rotate_left",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.common.bits": ["fold_bits", "hash_pc", "mask", "mix_hash", "rotate_left"],
+    "repro.common.counters": [
+        "SaturatingCounter",
+        "SignedCounterArray",
+        "SignedSaturatingCounter",
+        "UnsignedCounterArray",
+    ],
+    "repro.common.history": [
+        "FoldedHistory",
+        "GlobalHistory",
+        "LocalHistoryTable",
+        "PathHistory",
+    ],
+})

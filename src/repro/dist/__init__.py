@@ -24,22 +24,12 @@ coordinator assembles results by (label, trace) slot, not arrival order.
 See ``docs/DISTRIBUTED.md`` for the architecture and protocol reference.
 """
 
-from repro.dist.client import DistBackend, submit_sweep
-from repro.dist.coordinator import Coordinator, JobFailed, SweepJob
-from repro.dist.journal import CoordinatorJournal
-from repro.dist.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.dist.worker import CoordinatorUnreachable, Worker, run_worker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Coordinator",
-    "CoordinatorJournal",
-    "CoordinatorUnreachable",
-    "DistBackend",
-    "JobFailed",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "SweepJob",
-    "Worker",
-    "run_worker",
-    "submit_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dist.client": ["DistBackend", "submit_sweep"],
+    "repro.dist.coordinator": ["Coordinator", "JobFailed", "SweepJob"],
+    "repro.dist.journal": ["CoordinatorJournal"],
+    "repro.dist.protocol": ["PROTOCOL_VERSION", "ProtocolError"],
+    "repro.dist.worker": ["CoordinatorUnreachable", "Worker", "run_worker"],
+})

@@ -21,9 +21,9 @@ import time
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.specs import PredictorSpec
+from repro.config import SizeProfile
 from repro.dist import protocol
 from repro.dist.protocol import ConnectionClosed, ProtocolError
-from repro.predictors.composites import SizeProfile
 from repro.sim.engine import SimulationResult
 from repro.store import result_from_dict
 from repro.trace.trace import Trace

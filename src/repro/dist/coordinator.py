@@ -58,11 +58,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.specs import PredictorSpec
 from repro.common import diskguard
+from repro.config import CompositeOptions
 from repro.dist import protocol
 from repro.dist.journal import CoordinatorJournal
 from repro.dist.protocol import ProtocolError
 from repro.obs import default_registry, event_log_for, timing_log_for
-from repro.predictors.composites import CompositeOptions
 from repro.sim.engine import SimulationResult
 from repro.sim.runner import DEFAULT_BATCH_CELLS, ConfigurationRun, core_schedule_key
 from repro.store import ResultStore, profile_content, result_from_dict, result_to_dict
@@ -941,6 +941,11 @@ class Coordinator:
                 return False  # first upload won; drop the duplicate
             accepted = self._complete_locked(cell, result)
             if accepted:
+                # Counted under the same lock that settles the job, so
+                # /workers never lags a job that already reads as done.
+                info = self._conn_info.get(owner)
+                if info is not None:
+                    info["completed"] += 1
                 self._metric_results.inc()
                 if self.timings is not None:
                     phases = {
@@ -1459,11 +1464,6 @@ class Coordinator:
                         ),
                         batch=frame.get("batch", 1),
                     )
-                    if accepted:
-                        with self._lock:
-                            info = self._conn_info.get(conn_id)
-                            if info is not None:
-                                info["completed"] += 1
                     protocol.write_frame(
                         wfile, {"type": "ack", "cell": cell_id, "accepted": accepted}
                     )

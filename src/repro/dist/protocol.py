@@ -103,10 +103,7 @@ import socket
 from dataclasses import asdict
 from typing import Any, BinaryIO, Dict, Optional
 
-from repro.predictors.composites import SizeProfile
-from repro.predictors.gehl import GEHLConfig
-from repro.predictors.statistical_corrector import StatisticalCorrectorConfig
-from repro.predictors.tage import TAGEConfig
+from repro.config import GEHLConfig, SizeProfile, StatisticalCorrectorConfig, TAGEConfig
 from repro.trace.trace import Trace, trace_from_bytes, trace_to_bytes
 
 __all__ = [

@@ -20,42 +20,31 @@ scheduling decisions: the observability layer can be disabled wholesale
 without changing a single output byte.
 """
 
-from repro.obs.events import DEFAULT_EVENT_LOG, EventLog, event_log_for
-from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-    reset_default_registry,
-    telemetry_enabled,
-)
-from repro.obs.timings import (
-    TIMINGS_FILE,
-    TIMINGS_SUMMARY_FILE,
-    TimingLog,
-    summarize_timings,
-    timing_log_for,
-    timings_enabled,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_EVENT_LOG",
-    "DEFAULT_TIME_BUCKETS",
-    "EventLog",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "TIMINGS_FILE",
-    "TIMINGS_SUMMARY_FILE",
-    "TimingLog",
-    "default_registry",
-    "event_log_for",
-    "reset_default_registry",
-    "summarize_timings",
-    "telemetry_enabled",
-    "timing_log_for",
-    "timings_enabled",
-]
+#: Default port of the read-only status endpoints (:mod:`repro.obs.http`):
+#: one above the coordinator's TCP work port (4780).
+DEFAULT_STATUS_PORT = 4781
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.events": ["DEFAULT_EVENT_LOG", "EventLog", "event_log_for"],
+    "repro.obs.metrics": [
+        "DEFAULT_TIME_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "default_registry",
+        "reset_default_registry",
+        "telemetry_enabled",
+    ],
+    "repro.obs.timings": [
+        "TIMINGS_FILE",
+        "TIMINGS_SUMMARY_FILE",
+        "TimingLog",
+        "summarize_timings",
+        "timing_log_for",
+        "timings_enabled",
+    ],
+})
+__all__ += ["DEFAULT_STATUS_PORT"]

@@ -34,12 +34,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common import diskguard
+from repro.obs import DEFAULT_STATUS_PORT
 from repro.obs.metrics import MetricsRegistry, default_registry
 
 __all__ = ["DEFAULT_STATUS_PORT", "StatusServer"]
-
-#: One above the coordinator's TCP work port (4780).
-DEFAULT_STATUS_PORT = 4781
 
 
 class StatusServer:

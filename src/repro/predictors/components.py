@@ -38,6 +38,7 @@ from repro.common.bits import (
 )
 from repro.common.counters import SignedCounterArray
 from repro.common.history import FoldedHistory
+from repro.config import geometric_history_lengths
 from repro.core.component import CounterSelection, NeuralComponent, SharedState
 
 __all__ = [
@@ -47,34 +48,6 @@ __all__ = [
     "LocalHistoryComponent",
     "geometric_history_lengths",
 ]
-
-
-def geometric_history_lengths(
-    count: int, minimum: int, maximum: int
-) -> List[int]:
-    """Return ``count`` history lengths in geometric progression.
-
-    This is the geometric-history-length scheme of O-GEHL and TAGE: the
-    first length is ``minimum``, the last is ``maximum`` and intermediate
-    lengths follow a geometric series (rounded, strictly increasing).
-    """
-    if count <= 0:
-        raise ValueError(f"length count must be positive, got {count}")
-    if minimum <= 0 or maximum < minimum:
-        raise ValueError(
-            f"invalid geometric range [{minimum}, {maximum}]"
-        )
-    if count == 1:
-        return [minimum]
-    ratio = (maximum / minimum) ** (1.0 / (count - 1))
-    lengths: List[int] = []
-    for position in range(count):
-        length = int(round(minimum * (ratio ** position)))
-        if lengths and length <= lengths[-1]:
-            length = lengths[-1] + 1
-        lengths.append(length)
-    lengths[-1] = max(lengths[-1], maximum)
-    return lengths
 
 
 class BiasComponent(NeuralComponent):

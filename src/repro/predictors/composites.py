@@ -21,18 +21,23 @@ keep runtimes low).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Union
 
 from repro.common.history import LocalHistoryTable
+from repro.config import (
+    _PROFILES,
+    CONFIGURATIONS,
+    CompositeOptions,
+    SizeProfile,
+    core_key_for,
+)
 from repro.core.component import NeuralComponent
 from repro.core.imli_oh import IMLIOuterHistoryComponent
 from repro.core.imli_sic import IMLISameIterationComponent
 from repro.predictors.base import BranchPredictor
 from repro.predictors.components import IMLICountHashedGlobalComponent, LocalHistoryComponent
-from repro.predictors.gehl import GEHLConfig, GEHLPredictor
+from repro.predictors.gehl import GEHLPredictor
 from repro.predictors.loop import LoopPredictor, LoopPredictorConfig
-from repro.predictors.statistical_corrector import StatisticalCorrectorConfig
-from repro.predictors.tage import TAGEConfig
 from repro.predictors.tage_gsc import TAGEGSCConfig, TAGEGSCPredictor
 from repro.predictors.wormhole import WormholePredictor, WormholePredictorConfig
 from repro.trace.branch import BranchKind, BranchRecord
@@ -188,143 +193,6 @@ class SidecarPredictor(BranchPredictor):
 
 
 # --------------------------------------------------------------------------- #
-# Size profiles
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class SizeProfile:
-    """Scaled table geometries for one size profile.
-
-    Custom profiles are registered through
-    :meth:`repro.api.registry.Registry.register_profile`; the two built-in
-    profiles live in the default registry under the names ``"default"`` and
-    ``"small"``.
-    """
-
-    tage: TAGEConfig
-    corrector: StatisticalCorrectorConfig
-    gehl: GEHLConfig
-    sic_entries: int
-    oh_prediction_entries: int
-    local_entries: int
-    local_history_lengths: Sequence[int]
-    local_table_size: int
-    local_table_history_bits: int
-    loop_entries: int
-
-
-#: Backwards-compatible alias (the class was private before the API layer).
-_SizeProfile = SizeProfile
-
-
-_PROFILES: Dict[str, SizeProfile] = {
-    "default": SizeProfile(
-        tage=TAGEConfig(),
-        corrector=StatisticalCorrectorConfig(),
-        gehl=GEHLConfig(),
-        sic_entries=512,
-        oh_prediction_entries=256,
-        local_entries=1024,
-        local_history_lengths=(6, 11, 16),
-        local_table_size=256,
-        local_table_history_bits=16,
-        loop_entries=16,
-    ),
-    "small": SizeProfile(
-        tage=TAGEConfig(
-            num_tables=6,
-            table_entries=256,
-            base_entries=1024,
-            max_history=80,
-            useful_reset_period=4096,
-        ),
-        corrector=StatisticalCorrectorConfig(
-            bias_entries=256,
-            global_table_entries=256,
-            global_history_lengths=(4, 9, 18),
-        ),
-        gehl=GEHLConfig(
-            num_tables=5,
-            table_entries=256,
-            bias_entries=256,
-            max_history=64,
-        ),
-        sic_entries=256,
-        oh_prediction_entries=256,
-        local_entries=256,
-        local_history_lengths=(5, 10),
-        local_table_size=128,
-        local_table_history_bits=12,
-        loop_entries=16,
-    ),
-}
-
-
-# --------------------------------------------------------------------------- #
-# Configuration options and builder
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class CompositeOptions:
-    """Feature switches for one composite configuration.
-
-    Attributes
-    ----------
-    base:
-        ``"tage-gsc"`` or ``"gehl"``.
-    imli_sic / imli_oh:
-        Add the IMLI-SIC / IMLI-OH components to the neural part.
-    local:
-        Add local-history corrector tables and activate the loop predictor
-        (the "+L" configurations of Tables 1 and 2).
-    loop:
-        Add only the loop predictor as an active side predictor (used to
-        reproduce the Section 4.2.2 observation that the loop predictor
-        adds little once IMLI-SIC is present).
-    wormhole:
-        Add the wormhole side predictor (with a loop predictor supplying
-        trip counts but not predictions).
-    imli_global_tables:
-        Number of additional global-history tables whose index also hashes
-        the IMLI counter (the optional refinement of Section 4.2; used by
-        the ablation benchmarks).
-    oh_update_delay:
-        Delay, in conditional branches, applied to IMLI history table
-        updates (Section 4.3.2 delayed-update experiment).
-    """
-
-    base: str = "tage-gsc"
-    imli_sic: bool = False
-    imli_oh: bool = False
-    local: bool = False
-    loop: bool = False
-    wormhole: bool = False
-    imli_global_tables: int = 0
-    oh_update_delay: int = 0
-
-    def label(self) -> str:
-        """Configuration label used in reports (e.g. ``tage-gsc+imli``)."""
-        parts = [self.base]
-        if self.imli_sic and self.imli_oh:
-            parts.append("imli")
-        elif self.imli_sic:
-            parts.append("sic")
-        elif self.imli_oh:
-            parts.append("oh")
-        if self.imli_global_tables:
-            parts.append("imlihash")
-        if self.local:
-            parts.append("l")
-        elif self.loop:
-            parts.append("loop")
-        if self.wormhole:
-            parts.append("wh")
-        return "+".join(parts)
-
-
-# --------------------------------------------------------------------------- #
 # Shared-core decomposition
 # --------------------------------------------------------------------------- #
 #
@@ -365,32 +233,6 @@ class SharedCoreInfo:
     key: tuple
     options: CompositeOptions
     sizes: SizeProfile
-
-
-def core_key_for(options: CompositeOptions, sizes: SizeProfile) -> tuple:
-    """Hashable identity of the core that ``(options, sizes)`` would build.
-
-    Two specs whose keys compare equal evolve byte-identical cores over any
-    branch stream, so a batch of them can compute that core once per branch.
-    The key covers the base kind, the full base-engine geometry
-    (:class:`~repro.predictors.tage.TAGEConfig` /
-    :class:`~repro.predictors.gehl.GEHLConfig`, both frozen all-scalar
-    dataclasses) and the local-history-table geometry (``None`` without
-    ``local`` -- a ``+l`` spec never shares a core with a global-only one,
-    since the local table lives in the shared state).  Head-only knobs
-    (``imli_sic``, ``imli_oh``, ``oh_update_delay``, ``loop``, ``wormhole``,
-    ``imli_global_tables``, corrector sizing) deliberately do not appear.
-    """
-    local_geometry = (
-        (sizes.local_table_size, sizes.local_table_history_bits)
-        if options.local
-        else None
-    )
-    if options.base == "tage-gsc":
-        return ("tage-gsc", sizes.tage, local_geometry)
-    if options.base == "gehl":
-        return ("gehl", sizes.gehl, local_geometry)
-    raise ValueError(f"unknown base predictor {options.base!r}")
 
 
 def _head_components(
@@ -530,45 +372,6 @@ def build(
 # --------------------------------------------------------------------------- #
 # Named configuration registry
 # --------------------------------------------------------------------------- #
-
-
-def _registry() -> Dict[str, CompositeOptions]:
-    configurations: Dict[str, CompositeOptions] = {}
-    for base in ("tage-gsc", "gehl"):
-        configurations[base] = CompositeOptions(base=base)
-        configurations[f"{base}+sic"] = CompositeOptions(base=base, imli_sic=True)
-        configurations[f"{base}+oh"] = CompositeOptions(base=base, imli_oh=True)
-        configurations[f"{base}+imli"] = CompositeOptions(
-            base=base, imli_sic=True, imli_oh=True
-        )
-        configurations[f"{base}+l"] = CompositeOptions(base=base, local=True)
-        configurations[f"{base}+imli+l"] = CompositeOptions(
-            base=base, imli_sic=True, imli_oh=True, local=True
-        )
-        configurations[f"{base}+loop"] = CompositeOptions(base=base, loop=True)
-        configurations[f"{base}+sic+loop"] = CompositeOptions(
-            base=base, imli_sic=True, loop=True
-        )
-        configurations[f"{base}+wh"] = CompositeOptions(base=base, wormhole=True)
-        configurations[f"{base}+sic+wh"] = CompositeOptions(
-            base=base, imli_sic=True, wormhole=True
-        )
-    # The paper's TAGE-SC-L is TAGE-GSC with local history and the loop
-    # predictor activated; the "record" configuration adds the IMLI
-    # components on top (Section 5).
-    configurations["tage-sc-l"] = CompositeOptions(base="tage-gsc", local=True)
-    configurations["tage-sc-l+imli"] = CompositeOptions(
-        base="tage-gsc", imli_sic=True, imli_oh=True, local=True
-    )
-    return configurations
-
-
-#: The paper's named configurations.  This dict doubles as the option store
-#: of the default :class:`repro.api.registry.Registry`, so configurations
-#: registered there (``register_configuration``) appear here too and vice
-#: versa.  Prefer the registry for new code; this name is kept as a
-#: backwards-compatible view.
-CONFIGURATIONS: Dict[str, CompositeOptions] = _registry()
 
 
 def configuration_names() -> List[str]:

@@ -22,39 +22,14 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.common.history import LocalHistoryTable
+from repro.config import GEHLConfig
 from repro.core.component import NeuralComponent, SharedState
 from repro.predictors.adder import AdderTree
 from repro.predictors.base import BranchPredictor
-from repro.predictors.components import (
-    BiasComponent,
-    GlobalHistoryComponent,
-    geometric_history_lengths,
-)
+from repro.predictors.components import BiasComponent, GlobalHistoryComponent
 from repro.trace.branch import BranchRecord
 
 __all__ = ["GEHLConfig", "GEHLPredictor"]
-
-
-@dataclass(frozen=True)
-class GEHLConfig:
-    """Geometry of a GEHL predictor."""
-
-    num_tables: int = 8
-    table_entries: int = 1024
-    counter_bits: int = 6
-    min_history: int = 3
-    max_history: int = 200
-    bias_entries: int = 1024
-    initial_threshold: int = 8
-    history_capacity: int = 1024
-    path_capacity: int = 32
-    imli_counter_bits: int = 10
-
-    def history_lengths(self) -> List[int]:
-        """Geometric history lengths, one per history-indexed table."""
-        return geometric_history_lengths(
-            self.num_tables, self.min_history, self.max_history
-        )
 
 
 @dataclass

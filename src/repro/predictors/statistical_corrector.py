@@ -25,33 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from repro.config import StatisticalCorrectorConfig
 from repro.core.component import NeuralComponent, SharedState
 from repro.predictors.adder import AdderTree
 from repro.predictors.components import BiasComponent, GlobalHistoryComponent
 from repro.trace.branch import BranchRecord
 
 __all__ = ["StatisticalCorrectorConfig", "StatisticalCorrector", "CorrectorContext"]
-
-
-@dataclass(frozen=True)
-class StatisticalCorrectorConfig:
-    """Geometry of the statistical corrector."""
-
-    bias_entries: int = 1024
-    counter_bits: int = 6
-    global_table_entries: int = 512
-    global_history_lengths: Sequence[int] = (4, 9, 16, 27, 44)
-    initial_threshold: int = 6
-    #: Minimum |sum| for the corrector to revert the TAGE prediction.
-    revert_margin: int = 5
-
-    def __post_init__(self) -> None:
-        if not self.global_history_lengths:
-            raise ValueError("the corrector needs at least one global history length")
-        if self.revert_margin < 0:
-            raise ValueError(
-                f"revert margin must be non-negative, got {self.revert_margin}"
-            )
 
 
 @dataclass

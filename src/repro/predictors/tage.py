@@ -26,35 +26,12 @@ from typing import List, Optional
 from repro.common.bits import log2_exact, mask
 from repro.common.counters import UnsignedCounterArray
 from repro.common.history import FoldedHistory
+from repro.config import TAGEConfig
 from repro.core.component import SharedState
 from repro.predictors.base import BranchPredictor
-from repro.predictors.components import geometric_history_lengths
 from repro.trace.branch import BranchRecord
 
 __all__ = ["TAGEConfig", "TAGEEngine", "TAGEPrediction", "TAGEPredictor"]
-
-
-@dataclass(frozen=True)
-class TAGEConfig:
-    """Geometry of a TAGE predictor."""
-
-    num_tables: int = 10
-    table_entries: int = 512
-    tag_bits: int = 10
-    counter_bits: int = 3
-    useful_bits: int = 2
-    min_history: int = 4
-    max_history: int = 256
-    base_entries: int = 4096
-    base_counter_bits: int = 2
-    use_alt_counter_bits: int = 4
-    useful_reset_period: int = 16384
-
-    def history_lengths(self) -> List[int]:
-        """Geometric history lengths, one per tagged table (short to long)."""
-        return geometric_history_lengths(
-            self.num_tables, self.min_history, self.max_history
-        )
 
 
 @dataclass

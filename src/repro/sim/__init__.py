@@ -13,47 +13,29 @@
   model backing the paper's practicality argument.
 """
 
-from repro.sim.checkpointing import (
-    CheckpointRecoveryReport,
-    run_checkpoint_recovery,
-    speculative_management_cost,
-)
-from repro.sim.delayed_update import DelayedUpdateResult, run_delayed_update_experiment
-from repro.sim.engine import SimulationResult, simulate
-from repro.sim.metrics import (
-    average_mpki,
-    most_affected,
-    most_improved,
-    mpki_by_trace,
-    mpki_delta,
-    mpki_reduction_percent,
-)
-from repro.sim.runner import ConfigurationRun, SuiteRunner
-from repro.sim.storage import (
-    StorageReport,
-    imli_component_cost_bits,
-    speculative_state_report,
-    storage_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CheckpointRecoveryReport",
-    "ConfigurationRun",
-    "DelayedUpdateResult",
-    "SimulationResult",
-    "StorageReport",
-    "SuiteRunner",
-    "average_mpki",
-    "imli_component_cost_bits",
-    "most_affected",
-    "most_improved",
-    "mpki_by_trace",
-    "mpki_delta",
-    "mpki_reduction_percent",
-    "run_checkpoint_recovery",
-    "run_delayed_update_experiment",
-    "simulate",
-    "speculative_management_cost",
-    "speculative_state_report",
-    "storage_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.checkpointing": [
+        "CheckpointRecoveryReport",
+        "run_checkpoint_recovery",
+        "speculative_management_cost",
+    ],
+    "repro.sim.delayed_update": ["DelayedUpdateResult", "run_delayed_update_experiment"],
+    "repro.sim.engine": ["SimulationResult", "simulate"],
+    "repro.sim.metrics": [
+        "average_mpki",
+        "most_affected",
+        "most_improved",
+        "mpki_by_trace",
+        "mpki_delta",
+        "mpki_reduction_percent",
+    ],
+    "repro.sim.runner": ["ConfigurationRun", "SuiteRunner"],
+    "repro.sim.storage": [
+        "StorageReport",
+        "imli_component_cost_bits",
+        "speculative_state_report",
+        "storage_report",
+    ],
+})

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.predictors.base import BranchPredictor
-from repro.predictors.shared_core import plan_groups
 from repro.trace.branch import CONDITIONAL_CODE
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - a store-served run builds no predictor
+    from repro.predictors.base import BranchPredictor
 
 __all__ = [
     "ENGINE_VERSION",
@@ -372,6 +373,8 @@ def simulate_many(
             )
             for predictor in predictors
         ]
+
+    from repro.predictors.shared_core import plan_groups
 
     warmup_limit = int(trace.conditional_count * warmup_fraction)
     plan = None if share_cores is False else plan_groups(predictors)

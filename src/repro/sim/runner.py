@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -53,16 +52,19 @@ from typing import (
 )
 
 from repro.common import diskguard
+from repro.config import CompositeOptions, SizeProfile, core_key_for
 from repro.obs.timings import TimingLog, timing_log_for
-from repro.predictors.base import BranchPredictor
-from repro.predictors.composites import CompositeOptions, SizeProfile, core_key_for
 from repro.sim.engine import SimulationResult, simulate, simulate_many
 from repro.sim.metrics import average_mpki
 from repro.store import ResultStore, profile_content
 from repro.trace.trace import Trace
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim must not
-    from repro.api.specs import PredictorSpec  # depend on api at runtime)
+if TYPE_CHECKING:  # pragma: no cover - sim must not depend on api at runtime,
+    # and the pool and the predictors load only when a cell is simulated.
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.api.specs import PredictorSpec
+    from repro.predictors.base import BranchPredictor
 
 __all__ = [
     "BatchCellError",
@@ -98,7 +100,7 @@ def core_schedule_key(spec: "PredictorSpec", sizes: SizeProfile) -> str:
     except Exception:
         return ""
 
-PredictorFactory = Callable[[], BranchPredictor]
+PredictorFactory = Callable[[], "BranchPredictor"]
 
 #: Default ceiling on how many same-trace cells one batched task (or one
 #: distributed lease grant) covers.  Large enough to amortise the shared
@@ -557,7 +559,11 @@ class SuiteRunner:
         return None
 
     def _store_keys(
-        self, resolved: "PredictorSpec", track_per_pc: bool, registry
+        self,
+        resolved: "PredictorSpec",
+        track_per_pc: bool,
+        registry,
+        profile_contents: Optional[Dict[str, str]] = None,
     ) -> Optional[List[str]]:
         """Per-trace persistent-store keys for a resolved spec.
 
@@ -565,6 +571,10 @@ class SuiteRunner:
         spec did not resolve to explicit options (builder-based specs have
         no content-addressed identity), or its profile name does not
         resolve (the subsequent build will raise the real error).
+
+        ``profile_contents`` memoises :func:`~repro.store.profile_content`
+        by profile name for callers that key many specs against one
+        registry, so each profile is serialised once per run.
         """
         if self.store is None or not isinstance(resolved.base, CompositeOptions):
             return None
@@ -576,8 +586,12 @@ class SuiteRunner:
             sizes = registry.resolve_profile(resolved.profile)
         except KeyError:
             return None
+        if profile_contents is None:
+            profile_contents = {}
+        if resolved.profile not in profile_contents:
+            profile_contents[resolved.profile] = profile_content(sizes)
+        sizes_content = profile_contents[resolved.profile]
         content = resolved.content()
-        sizes_content = profile_content(sizes)
         return [
             ResultStore.cell_key(
                 content, sizes_content, trace.fingerprint(), track_per_pc
@@ -761,6 +775,8 @@ class SuiteRunner:
         at a time.
         """
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._pool
 
@@ -797,8 +813,9 @@ class SuiteRunner:
         slots: Dict[str, List[Optional[SimulationResult]]] = {
             label: [None] * len(self.traces) for label in specs
         }
+        profile_contents: Dict[str, str] = {}
         store_keys = {
-            label: self._store_keys(spec, track_per_pc, None)
+            label: self._store_keys(spec, track_per_pc, None, profile_contents)
             for label, spec in specs.items()
         }
         pending: List[Tuple[str, int]] = []
@@ -942,6 +959,8 @@ class SuiteRunner:
             and self.max_workers is not None
             and self.max_workers > 1
         )
+        from concurrent.futures import as_completed
+
         if not self._batch_enabled():
             pool = self._get_pool()
             futures = {

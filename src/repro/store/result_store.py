@@ -19,7 +19,7 @@ made fully content-addressed so it survives process boundaries:
 * the **spec content** (:meth:`repro.api.specs.PredictorSpec.content` of
   the *resolved* spec -- explicit options, label-independent);
 * the **resolved size profile** (canonical dump of the
-  :class:`~repro.predictors.composites.SizeProfile` the name resolved to,
+  :class:`~repro.config.SizeProfile` the name resolved to,
   so re-registering a profile name retires its old results);
 * the **trace fingerprint** (:meth:`repro.trace.trace.Trace.fingerprint`
   -- the trace's actual content plus its name, never the benchmark name
@@ -73,7 +73,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.common import diskguard
-from repro.predictors.composites import SizeProfile
+from repro.config import SizeProfile
 from repro.sim.engine import ENGINE_VERSION, SimulationResult
 
 __all__ = [
@@ -126,7 +126,9 @@ def _chaos_should(point: str) -> bool:
 
     The chaos module is only imported once it is plausibly configured
     (``REPRO_CHAOS`` set, or already loaded by a test's direct
-    ``configure``); otherwise this is one env lookup.
+    ``configure``); otherwise this is one env lookup.  Importing it loads
+    ``repro.dist.chaos`` alone: the ``repro.dist`` package re-exports
+    lazily, so the coordinator, worker and client stay unloaded.
     """
     module = sys.modules.get("repro.dist.chaos")
     if module is None:

@@ -16,29 +16,17 @@ test.  This package defines that stream:
   (branch/instruction counts, taken rates, per-PC footprints).
 """
 
-from repro.trace.branch import BranchKind, BranchRecord, conditional_branch
-from repro.trace.chunked import (
-    ChunkedTrace,
-    ChunkedTraceWriter,
-    load_any_trace,
-    load_chunked_trace,
-    write_chunked_trace,
-)
-from repro.trace.stats import TraceStatistics, compute_statistics
-from repro.trace.trace import Trace, load_trace, save_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BranchKind",
-    "BranchRecord",
-    "ChunkedTrace",
-    "ChunkedTraceWriter",
-    "Trace",
-    "TraceStatistics",
-    "compute_statistics",
-    "conditional_branch",
-    "load_any_trace",
-    "load_chunked_trace",
-    "load_trace",
-    "save_trace",
-    "write_chunked_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trace.branch": ["BranchKind", "BranchRecord", "conditional_branch"],
+    "repro.trace.chunked": [
+        "ChunkedTrace",
+        "ChunkedTraceWriter",
+        "load_any_trace",
+        "load_chunked_trace",
+        "write_chunked_trace",
+    ],
+    "repro.trace.stats": ["TraceStatistics", "compute_statistics"],
+    "repro.trace.trace": ["Trace", "load_trace", "save_trace"],
+})

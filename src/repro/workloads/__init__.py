@@ -19,46 +19,29 @@ highlights (``SPEC2K6-04``, ``SPEC2K6-12``, ``MM-4``, ``CLIENT02``,
   generators that turn them into :class:`~repro.trace.trace.Trace` objects.
 """
 
-from repro.workloads.emitter import KernelEmitter
-from repro.workloads.kernels import (
-    AlternatingOuterKernel,
-    BiasedMixKernel,
-    GlobalCorrelatedKernel,
-    Kernel,
-    LocalPeriodicKernel,
-    LoopExitKernel,
-    NoiseKernel,
-    SameIterationKernel,
-    WormholeDiagonalKernel,
-)
-from repro.workloads.suites import (
-    BenchmarkSpec,
-    SuiteSpec,
-    benchmark_names,
-    generate_benchmark,
-    generate_suite,
-    get_benchmark,
-    get_suite,
-    suite_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlternatingOuterKernel",
-    "BenchmarkSpec",
-    "BiasedMixKernel",
-    "GlobalCorrelatedKernel",
-    "Kernel",
-    "KernelEmitter",
-    "LocalPeriodicKernel",
-    "LoopExitKernel",
-    "NoiseKernel",
-    "SameIterationKernel",
-    "SuiteSpec",
-    "WormholeDiagonalKernel",
-    "benchmark_names",
-    "generate_benchmark",
-    "generate_suite",
-    "get_benchmark",
-    "get_suite",
-    "suite_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.emitter": ["KernelEmitter"],
+    "repro.workloads.kernels": [
+        "AlternatingOuterKernel",
+        "BiasedMixKernel",
+        "GlobalCorrelatedKernel",
+        "Kernel",
+        "LocalPeriodicKernel",
+        "LoopExitKernel",
+        "NoiseKernel",
+        "SameIterationKernel",
+        "WormholeDiagonalKernel",
+    ],
+    "repro.workloads.suites": [
+        "BenchmarkSpec",
+        "SuiteSpec",
+        "benchmark_names",
+        "generate_benchmark",
+        "generate_suite",
+        "get_benchmark",
+        "get_suite",
+        "suite_names",
+    ],
+})

@@ -32,11 +32,13 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.trace.trace import Trace, load_trace_binary, save_trace_binary
-from repro.workloads.emitter import KernelEmitter
-from repro.workloads.kernels import Kernel, build_kernel
+
+if TYPE_CHECKING:  # pragma: no cover - the kernels load only to generate
+    from repro.workloads.emitter import KernelEmitter
+    from repro.workloads.kernels import Kernel
 
 __all__ = [
     "PhaseSpec",
@@ -542,6 +544,9 @@ def _generate_benchmark_uncached(
     target_conditional_branches: int,
     instruction_gap: int,
 ) -> Trace:
+    from repro.workloads.emitter import KernelEmitter
+    from repro.workloads.kernels import build_kernel
+
     kernels: List[Tuple[Kernel, KernelEmitter, int]] = []
     for phase_index, phase in enumerate(spec.phases):
         kernel = build_kernel(

@@ -16,13 +16,38 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_rejects_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig99"])
+    def test_rejects_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "bogus"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "argument experiment_id: invalid choice: 'bogus' (choose from " in error
+        assert "'table1'" in error
 
     def test_rejects_unknown_suite(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--suite", "cbp5like"])
+
+    def test_experiment_help_lists_every_experiment(self, capsys):
+        from repro.analysis.experiments import experiment_ids
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["experiment", "--help"])
+        assert exit_info.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        for experiment_id in experiment_ids():
+            assert experiment_id in help_text
+
+    def test_status_port_default_is_4781(self):
+        import inspect
+
+        from repro.obs import DEFAULT_STATUS_PORT
+        from repro.obs.http import StatusServer
+
+        assert DEFAULT_STATUS_PORT == 4781
+        port = inspect.signature(StatusServer).parameters["port"].default
+        assert port == DEFAULT_STATUS_PORT
+        assert build_parser().parse_args(["top"]).connect == "127.0.0.1:4781"
 
 
 class TestCommands:

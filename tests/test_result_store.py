@@ -210,6 +210,22 @@ class TestRunnerStoreIntegration:
                 warm[label].mpki_by_trace() == cold[label].mpki_by_trace()
             )
 
+    def test_profile_content_computed_once_per_profile(self, tmp_path, monkeypatch):
+        import repro.sim.runner as runner_module
+
+        calls = []
+
+        def counting(profile):
+            calls.append(profile)
+            return profile_content(profile)
+
+        monkeypatch.setattr(runner_module, "profile_content", counting)
+        specs = [PredictorSpec.from_named(name, profile="small") for name in self.SPECS]
+        specs.append(PredictorSpec.from_named("gehl", profile="default"))
+        runner = SuiteRunner([_easy_trace()], profile="small", store=tmp_path / "store")
+        runner.run_specs(specs)
+        assert len(calls) == 2
+
     def test_store_results_identical_serial_and_parallel(self, tmp_path):
         trace_a = _easy_trace("a")
         trace_b = _easy_trace("b", flip=True)
