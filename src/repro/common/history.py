@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.common.bits import hash_pc, mask
+from repro.common.bits import mask
 
 __all__ = ["GlobalHistory", "PathHistory", "FoldedHistory", "LocalHistoryTable"]
 
@@ -183,7 +183,10 @@ class LocalHistoryTable:
     too expensive for real hardware (Section 2.3.2).
     """
 
-    __slots__ = ("size", "history_bits", "_index_bits", "entries")
+    __slots__ = (
+        "size", "history_bits", "_index_bits", "_index_mask", "_history_mask",
+        "entries",
+    )
 
     def __init__(self, size: int, history_bits: int) -> None:
         if size <= 0:
@@ -195,22 +198,32 @@ class LocalHistoryTable:
         self.size = size
         self.history_bits = history_bits
         self._index_bits = size.bit_length() - 1
+        self._index_mask = size - 1
+        self._history_mask = mask(history_bits)
         self.entries: List[int] = [0] * size
+
+    # ``index``, ``read`` and ``update`` run once or more per branch, so they
+    # inline ``hash_pc(pc, index_bits)`` (PC XOR-folded with two shifted
+    # copies) instead of paying its validation and ``mask`` call.  Inlined,
+    # a one-entry table (zero index bits) maps every PC to entry 0, where
+    # ``hash_pc`` would reject the zero width.
 
     def index(self, pc: int) -> int:
         """Table index for a branch PC."""
-        return hash_pc(pc, self._index_bits)
+        bits = self._index_bits
+        return (pc ^ (pc >> bits) ^ (pc >> (bits << 1))) & self._index_mask
 
     def read(self, pc: int) -> int:
         """Return the local history register associated with ``pc``."""
-        return self.entries[self.index(pc)]
+        bits = self._index_bits
+        return self.entries[(pc ^ (pc >> bits) ^ (pc >> (bits << 1))) & self._index_mask]
 
     def update(self, pc: int, taken: bool) -> None:
         """Shift the outcome of ``pc`` into its local history."""
-        idx = self.index(pc)
-        self.entries[idx] = ((self.entries[idx] << 1) | int(taken)) & mask(
-            self.history_bits
-        )
+        bits = self._index_bits
+        idx = (pc ^ (pc >> bits) ^ (pc >> (bits << 1))) & self._index_mask
+        entries = self.entries
+        entries[idx] = ((entries[idx] << 1) | (1 if taken else 0)) & self._history_mask
 
     def reset(self) -> None:
         """Clear every local history."""

@@ -258,19 +258,19 @@ def core_key_for(options: CompositeOptions, sizes: SizeProfile) -> tuple:
 
     Two specs whose keys compare equal evolve byte-identical cores over any
     branch stream, so a batch of them can compute that core once per branch.
-    The key covers the base kind, the full base-engine geometry
-    (:class:`TAGEConfig` / :class:`GEHLConfig`, both frozen all-scalar
-    dataclasses) and the local-history-table geometry (``None`` without
-    ``local`` -- a ``+l`` spec never shares a core with a global-only one,
-    since the local table lives in the shared state).  Head-only knobs
-    (``imli_sic``, ``imli_oh``, ``oh_update_delay``, ``loop``, ``wormhole``,
+    The key is ``(base, engine geometry, local-table geometry)``: the base
+    kind, the full base-engine geometry (:class:`TAGEConfig` /
+    :class:`GEHLConfig`, both frozen all-scalar dataclasses) and
+    ``(local_table_size, local_table_history_bits)``.  The local geometry
+    is carried whatever ``local`` says: like the folded registers, the
+    local-history table is a pure function of the branch stream, so a
+    ``+l`` spec shares its core with its global-only siblings (whose heads
+    never read the table), and only a profile with a different local
+    geometry splits the group.  Head-only knobs (``imli_sic``, ``imli_oh``,
+    ``oh_update_delay``, ``local``, ``loop``, ``wormhole``,
     ``imli_global_tables``, corrector sizing) deliberately do not appear.
     """
-    local_geometry = (
-        (sizes.local_table_size, sizes.local_table_history_bits)
-        if options.local
-        else None
-    )
+    local_geometry = (sizes.local_table_size, sizes.local_table_history_bits)
     if options.base == "tage-gsc":
         return ("tage-gsc", sizes.tage, local_geometry)
     if options.base == "gehl":

@@ -37,7 +37,7 @@ from repro.common.bits import (
     mix_hash4,
 )
 from repro.common.counters import SignedCounterArray
-from repro.common.history import FoldedHistory
+from repro.common.history import FoldedHistory, LocalHistoryTable
 from repro.config import geometric_history_lengths
 from repro.core.component import CounterSelection, NeuralComponent, SharedState
 
@@ -276,9 +276,39 @@ class IMLICountHashedGlobalComponent(GlobalHistoryComponent):
         ]
 
     def select_sum(self, pc: int, state: SharedState) -> tuple:
-        # Do not inherit the parent's fused three-field hash -- this
-        # component mixes in the IMLI counter as a fourth field.
-        return NeuralComponent.select_sum(self, pc, state)
+        # The parent's fused hash with the IMLI counter absorbed as a
+        # fourth field: ``mix_hash4(pc, fold, path, imli_count)`` inlined
+        # with the PC-only first round hoisted out of the per-table loop
+        # (property tests pin this copy to ``select``).
+        path_bits = state.path_history.bits if self.use_path_history else 0
+        index_mask = self.index_mask
+        mask64 = MASK64
+        multiplier = MIX_ROUND_MULTIPLIER
+        key1 = MIX_ROUND_KEY + 1
+        key2 = MIX_ROUND_KEY + 2
+        final_multiplier = MIX_FINAL_MULTIPLIER
+        imli_field = (state.imli.count + MIX_ROUND_KEY + 3) & mask64
+        acc0 = MIX_ROUND_KEY ^ ((pc + MIX_ROUND_KEY) & mask64)
+        acc0 = (acc0 * multiplier) & mask64
+        acc0 ^= acc0 >> 27
+        total = 0
+        selections = []
+        append = selections.append
+        for table, folded, path_mask in self._rows:
+            acc = acc0 ^ ((folded.fold + key1) & mask64)
+            acc = (acc * multiplier) & mask64
+            acc ^= acc >> 27
+            acc ^= ((path_bits & path_mask) + key2) & mask64
+            acc = (acc * multiplier) & mask64
+            acc ^= acc >> 27
+            acc ^= imli_field
+            acc = (acc * multiplier) & mask64
+            acc ^= acc >> 27
+            acc = (acc * final_multiplier) & mask64
+            index = (acc ^ (acc >> 31)) & index_mask
+            append((table, index))
+            total += 2 * table.values[index] + 1
+        return selections, total
 
 
 class LocalHistoryComponent(NeuralComponent):
@@ -301,17 +331,28 @@ class LocalHistoryComponent(NeuralComponent):
         if not history_lengths:
             raise ValueError("at least one local history length is required")
         self.index_bits = log2_exact(entries)
+        self.index_mask = mask(self.index_bits)
         self.history_lengths = list(history_lengths)
         self.tables = [
             SignedCounterArray(entries, counter_bits) for _ in self.history_lengths
         ]
+        # Per-table hot rows: (table, local-history mask).
+        self._rows = [
+            (table, mask(length))
+            for table, length in zip(self.tables, self.history_lengths)
+        ]
 
-    def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
-        if state.local_histories is None:
+    @staticmethod
+    def _local_histories(state: SharedState) -> LocalHistoryTable:
+        local_histories = state.local_histories
+        if local_histories is None:
             raise RuntimeError(
                 "LocalHistoryComponent requires a SharedState with a local history table"
             )
-        local_history = state.local_histories.read(pc)
+        return local_histories
+
+    def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
+        local_history = self._local_histories(state).read(pc)
         selections: List[CounterSelection] = []
         for table, length in zip(self.tables, self.history_lengths):
             index = mix_hash(
@@ -319,6 +360,33 @@ class LocalHistoryComponent(NeuralComponent):
             )
             selections.append((table, index))
         return selections
+
+    def select_sum(self, pc: int, state: SharedState) -> tuple:
+        # ``mix_hash(pc, local_history & length_mask, width=index_bits)``
+        # inlined like ``GlobalHistoryComponent.select_sum``: the PC-only
+        # first round is hoisted out of the per-table loop (property tests
+        # pin this copy to ``select``).
+        local_history = self._local_histories(state).read(pc)
+        index_mask = self.index_mask
+        mask64 = MASK64
+        multiplier = MIX_ROUND_MULTIPLIER
+        key1 = MIX_ROUND_KEY + 1
+        final_multiplier = MIX_FINAL_MULTIPLIER
+        acc0 = MIX_ROUND_KEY ^ ((pc + MIX_ROUND_KEY) & mask64)
+        acc0 = (acc0 * multiplier) & mask64
+        acc0 ^= acc0 >> 27
+        total = 0
+        selections = []
+        append = selections.append
+        for table, history_mask in self._rows:
+            acc = acc0 ^ (((local_history & history_mask) + key1) & mask64)
+            acc = (acc * multiplier) & mask64
+            acc ^= acc >> 27
+            acc = (acc * final_multiplier) & mask64
+            index = (acc ^ (acc >> 31)) & index_mask
+            append((table, index))
+            total += 2 * table.values[index] + 1
+        return selections, total
 
     def storage_bits(self) -> int:
         return sum(table.storage_bits() for table in self.tables)

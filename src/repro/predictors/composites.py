@@ -201,7 +201,7 @@ class SidecarPredictor(BranchPredictor):
 # behaviour depends on the configuration's corrector/sidecar knobs:
 #
 # * ``tage-gsc`` core: the :class:`SharedState` (global/path history, folded
-#   registers, IMLI counter, optional local-history table) plus the
+#   registers, IMLI counter, local-history table) plus the
 #   :class:`TAGEEngine`.  The TAGE engine's training
 #   (``train_fields(pc, taken, ctx)``) never reads the corrector or the
 #   final prediction, and the shared state advances as a pure function of
@@ -212,8 +212,14 @@ class SidecarPredictor(BranchPredictor):
 #   across heads, since registered folds are shape-deduplicated pure
 #   functions of the global history).
 #
-# ``core_key_for`` captures exactly the knobs the core depends on;
-# everything else (IMLI-SIC/OH, ``oh_update_delay``, corrector sizing,
+# The local-history table is core state like the folded registers: it
+# advances from ``(pc, taken)`` alone, only ``+l`` heads read it, and a
+# global-only head never does.  A shared core therefore carries one when
+# any member is a ``+l`` spec, and a solo global-only build carries none.
+#
+# ``core_key_for`` captures exactly the knobs the core depends on (the
+# local-table geometry included, whatever ``local`` says); everything else
+# (IMLI-SIC/OH, ``local``, ``oh_update_delay``, corrector sizing,
 # loop/wormhole sidecars, IMLI-hashed global tables) is head-only.
 # :mod:`repro.predictors.shared_core` uses this decomposition to drive one
 # core step and N head steps per branch for a batch of same-key specs.
@@ -280,7 +286,7 @@ def _imli_hashed_global(
 def _local_table(
     options: CompositeOptions, sizes: SizeProfile
 ) -> Optional[LocalHistoryTable]:
-    """The shared local-history table of a ``+l`` configuration (core state)."""
+    """The local-history table of a ``+l`` configuration (core state)."""
     if not options.local:
         return None
     return LocalHistoryTable(sizes.local_table_size, sizes.local_table_history_bits)

@@ -21,6 +21,10 @@ per branch**:
   history, so their per-branch maintenance is paid once per group instead
   of once per member.
 
+A ``+l`` member groups with its global-only siblings: the local-history
+table is core state too.  The group's :class:`SharedState` carries one when
+any member has ``local`` set, and none otherwise.
+
 Results are bit-identical to solo execution *by construction*, not by
 tolerance:
 
@@ -28,6 +32,8 @@ tolerance:
   branch stream -- ``SharedState.update_conditional_fields`` and
   ``TAGEEngine.train_fields`` never read corrector or sidecar state, and
   the TAGE allocation RNG stream does not depend on the final prediction;
+  the local-history table advances from ``(pc, taken)`` alone, and heads
+  without ``local`` never read it;
 * heads only *read* the shared state, which is frozen while the heads of
   one branch run, and write only their own tables;
 * ``TAGEEngine.train_fields`` and ``StatisticalCorrector.train_fields``
@@ -187,6 +193,19 @@ def _plan_shared_indices(heads, components_of):
     return index_fns, assignments
 
 
+def _group_local_table(members: Sequence[Tuple[int, SharedCoreInfo]]):
+    """The group's shared local-history table, if any member reads one.
+
+    Members share a core key, hence one local-table geometry; the table is
+    built only when some member is a ``+l`` spec, so an all-global group
+    pays nothing for it.
+    """
+    for _, info in members:
+        if info.options.local:
+            return _local_table(info.options, info.sizes)
+    return None
+
+
 class _TageGscGroup:
     """One shared TAGE core fanned into N statistical-corrector heads."""
 
@@ -204,7 +223,7 @@ class _TageGscGroup:
             history_capacity=history_capacity,
             path_capacity=config.path_capacity,
             imli_counter_bits=config.imli_counter_bits,
-            local_history_table=_local_table(first.options, first.sizes),
+            local_history_table=_group_local_table(members),
         )
         self.tage = TAGEEngine(self.state, config.tage)
         num_tables = config.tage.num_tables
@@ -317,7 +336,7 @@ class _GehlGroup:
             history_capacity=gehl.history_capacity,
             path_capacity=gehl.path_capacity,
             imli_counter_bits=gehl.imli_counter_bits,
-            local_history_table=_local_table(first.options, first.sizes),
+            local_history_table=_group_local_table(members),
         )
         self.heads: List[_Head] = []
         for _, info in members:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.common.bits import mask, mix_hash, mix_hash4
 from repro.common.history import LocalHistoryTable
 from repro.core.component import SharedState
 from repro.core.imli_sic import IMLISameIterationComponent
@@ -131,6 +135,78 @@ class TestLocalHistoryComponent:
     def test_storage(self):
         component = LocalHistoryComponent(history_lengths=[6, 11, 16], entries=128, counter_bits=6)
         assert component.storage_bits() == 3 * 128 * 6
+
+
+def _randomise_counters(tables, seed):
+    rng = random.Random(seed)
+    for table in tables:
+        table.values = [
+            rng.randint(table.minimum, table.maximum) for _ in table.values
+        ]
+
+
+_BRANCHES = st.lists(
+    st.tuples(st.integers(0, 63), st.booleans(), st.booleans()), max_size=60
+)
+
+
+class TestFusedSelectSum:
+    """The fused ``select_sum`` copies are pinned to the generic hashes."""
+
+    @given(
+        pc=st.integers(0, 1 << 40),
+        branches=_BRANCHES,
+        lengths=st.lists(st.integers(1, 16), min_size=1, max_size=4),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_local_index_is_mix_hash(self, pc, branches, lengths, seed):
+        table = LocalHistoryTable(64, 16)
+        state = SharedState(local_history_table=table)
+        for slot, _backward, taken in branches:
+            table.update(0x400 + 4 * slot, taken)
+        component = LocalHistoryComponent(history_lengths=lengths, entries=256)
+        _randomise_counters(component.tables, seed)
+        selections, total = component.select_sum(pc, state)
+        history = table.read(pc)
+        assert [index for _, index in selections] == [
+            mix_hash(pc, history & mask(length), width=8) for length in lengths
+        ]
+        assert selections == component.select(pc, state)
+        assert total == sum(2 * t.values[i] + 1 for t, i in selections)
+
+    def test_local_select_sum_requires_table(self):
+        component = LocalHistoryComponent(history_lengths=[8], entries=64)
+        with pytest.raises(RuntimeError):
+            component.select_sum(0x99, SharedState())
+
+    @given(
+        pc=st.integers(0, 1 << 40),
+        branches=_BRANCHES,
+        tables=st.integers(1, 2),
+        imli_count=st.integers(0, 1023),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_imli_hashed_index_is_mix_hash4(
+        self, pc, branches, tables, imli_count, seed
+    ):
+        state = SharedState()
+        component = IMLICountHashedGlobalComponent(
+            state, history_lengths=[9, 18][:tables], entries=512
+        )
+        for slot, backward, taken in branches:
+            branch_pc = 0x400 + 4 * slot
+            target = branch_pc - 0x40 if backward else branch_pc + 0x40
+            state.update_conditional_fields(branch_pc, target, taken)
+        state.imli.count = imli_count
+        _randomise_counters(component.tables, seed)
+        selections, total = component.select_sum(pc, state)
+        path_bits = state.path_history.bits
+        assert [index for _, index in selections] == [
+            mix_hash4(pc, folded.fold, path_bits & path_mask, imli_count) & mask(9)
+            for _table, folded, path_mask in component._rows
+        ]
+        assert selections == component.select(pc, state)
+        assert total == sum(2 * t.values[i] + 1 for t, i in selections)
 
 
 class TestAdderTree:

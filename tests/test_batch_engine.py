@@ -9,9 +9,11 @@ for the persistent store's cell keys, which must not see batching at all.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.experiment import Experiment
 from repro.api.registry import default_registry
@@ -23,6 +25,8 @@ from repro.predictors.simple import AlwaysTakenPredictor, BimodalPredictor
 from repro.sim.engine import ENGINE_VERSION, simulate, simulate_many
 from repro.sim.runner import DEFAULT_BATCH_CELLS, SuiteRunner
 from repro.store import ResultStore
+from repro.trace.branch import BranchKind, BranchRecord, conditional_branch
+from repro.trace.trace import Trace
 from repro.workloads.suites import generate_suite
 
 LENGTH = 150
@@ -211,8 +215,10 @@ class TestSharedCoreGrouping:
     """Shared-core batch grouping: formation rules and bit-identity.
 
     ``oh_update_delay`` only moves the IMLI-OH head component, so an
-    ``oh_update_delay`` grid shares one TAGE+history core; ``local``
-    changes the shared state itself, so it must split the group.
+    ``oh_update_delay`` grid shares one TAGE+history core.  ``local`` only
+    adds head parts (a corrector component reading the local-history
+    table, which is core state, and the loop predictor), so it shares the
+    core too; a different local-table geometry must split the group.
     """
 
     def test_shared_grid_forms_one_group(self):
@@ -228,14 +234,49 @@ class TestSharedCoreGrouping:
         # A lone member never pays grouping overhead.
         assert plan_groups([_build("tage-gsc")]) is None
 
-    def test_core_mutating_override_must_not_group(self):
-        base = PredictorSpec.from_named("tage-gsc+oh", profile="small")
-        with_local = PredictorSpec.from_named(
-            "tage-gsc+oh", profile="small", local=True
+    def test_local_override_shares_the_core(self, traces):
+        specs = [
+            PredictorSpec.from_named("tage-gsc+oh", profile="small"),
+            PredictorSpec.from_named("tage-gsc+oh", profile="small", local=True),
+        ]
+        built = [spec.build() for spec in specs]
+        assert built[0].shared_core.key == built[1].shared_core.key
+        plan = plan_groups(built)
+        assert plan is not None
+        groups, solos = plan
+        assert solos == [] and len(groups) == 1
+        assert sorted(groups[0].indices) == [0, 1]
+        for trace in traces:
+            grouped = simulate_many([spec.build() for spec in specs], trace)
+            flat = simulate_many(
+                [spec.build() for spec in specs], trace, share_cores=False
+            )
+            reference = [
+                simulate(spec.build(), trace, use_fast_path=False) for spec in specs
+            ]
+            for ours, theirs, expected in zip(grouped, flat, reference):
+                _assert_identical(ours, theirs)
+                _assert_identical(ours, expected)
+
+    def test_local_geometry_mismatch_must_not_group(self):
+        registry = default_registry()
+        small = registry.resolve_profile("small")
+        registry.register_profile(
+            "small-local64",
+            dataclasses.replace(small, local_table_size=small.local_table_size // 2),
         )
-        built = [base.build(), with_local.build()]
-        assert built[0].shared_core.key != built[1].shared_core.key
-        assert plan_groups(built) is None
+        try:
+            built = [
+                PredictorSpec.from_named("tage-gsc+oh", profile="small").build(),
+                PredictorSpec.from_named(
+                    "tage-gsc+oh", profile="small-local64"
+                ).build(),
+            ]
+            assert built[0].shared_core.key != built[1].shared_core.key
+            assert plan_groups(built) is None
+        finally:
+            registry._profiles.pop("small-local64", None)
+            registry._touch()
 
     def test_profile_mismatch_must_not_group(self):
         small = PredictorSpec.from_named("tage-gsc+oh", profile="small")
@@ -318,6 +359,84 @@ class TestSharedCoreGrouping:
         assert batched.keys() == per_cell.keys()
         assert len(batched) == len(specs) * len(traces)
         assert batched == per_cell
+
+
+#: The paper's local-history comparison mixes ``+l`` and global-only
+#: variants of one base predictor in one sweep (Figures 14-15).
+_LOCAL_MIX = [
+    "tage-gsc",
+    "tage-gsc+imli",
+    "tage-gsc+l",
+    "tage-gsc+imli+l",
+    "tage-sc-l+imli",
+    "gehl+imli",
+    "gehl+imli+l",
+]
+
+
+@st.composite
+def _branch_streams(draw):
+    """A short trace over a few PCs: loops, local patterns and calls."""
+    pcs = draw(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=6, unique=True))
+    trace = Trace(name="generated")
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(pcs) - 1),
+                st.booleans(),  # backward target (loop-exit branch)
+                st.booleans(),  # taken
+                st.integers(0, 9),  # kind: 0 is a call, the rest conditional
+            ),
+            min_size=1,
+            max_size=120,
+        )
+    )
+    for slot, backward, taken, kind in steps:
+        pc = 0x1000 + 16 * pcs[slot]
+        target = pc - 0x40 if backward else pc + 0x40
+        if kind == 0:
+            trace.append(BranchRecord(pc=pc, target=target, taken=True, kind=BranchKind.CALL))
+        else:
+            trace.append(conditional_branch(pc, target, taken=taken))
+    return trace
+
+
+class TestSharedCoreDifferential:
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        names=st.lists(st.sampled_from(_LOCAL_MIX), min_size=1, unique=True),
+        trace=_branch_streams(),
+        warmup=st.sampled_from([0.0, 0.2, 0.5]),
+        track=st.booleans(),
+    )
+    def test_grouped_equals_flat_equals_reference(self, names, trace, warmup, track):
+        grouped = simulate_many(
+            [_build(name) for name in names],
+            trace,
+            warmup_fraction=warmup,
+            track_per_pc=track,
+        )
+        flat = simulate_many(
+            [_build(name) for name in names],
+            trace,
+            warmup_fraction=warmup,
+            track_per_pc=track,
+            share_cores=False,
+        )
+        for name, ours, theirs in zip(names, grouped, flat):
+            expected = simulate(
+                _build(name),
+                trace,
+                warmup_fraction=warmup,
+                track_per_pc=track,
+                use_fast_path=False,
+            )
+            _assert_identical(ours, theirs)
+            _assert_identical(ours, expected)
 
 
 class TestDistBatching:

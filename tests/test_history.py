@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.bits import fold_bits
+from repro.common.bits import fold_bits, hash_pc
 from repro.common.history import (
     FoldedHistory,
     GlobalHistory,
@@ -181,3 +181,15 @@ class TestLocalHistoryTable:
             table.update(0x400, outcome)
             reference = ((reference << 1) | int(outcome)) & 0xFFFF
         assert table.read(0x400) == reference
+
+    def test_one_entry_table_reads_and_updates(self):
+        table = LocalHistoryTable(1, 4)
+        assert table.index(0x1234) == table.index(0x99) == 0
+        table.update(0x1234, True)
+        table.update(0x99, False)
+        assert table.read(0x5) == 0b10
+
+    @given(pc=st.integers(0, 1 << 48), index_bits=st.integers(1, 14))
+    def test_inline_index_matches_hash_pc(self, pc, index_bits):
+        table = LocalHistoryTable(1 << index_bits, 8)
+        assert table.index(pc) == hash_pc(pc, index_bits)
